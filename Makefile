@@ -1,17 +1,17 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet lint fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
+.PHONY: check vet lint fmtcheck build test race racesmoke fuzzsmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
 
 ## check: the pre-commit gate — gofmt, vet, the project's own static
 ## analysis (speclint), build, the full test suite, the determinism tests
 ## under -race, a single-iteration pass over every benchmark (including the
 ## obs overhead guard), a warm-cache smoke run of the persistent store, a
 ## cross-selector shoot-out smoke, the daemon smoke (dedup, streaming,
-## byte-identity, SIGTERM drain), and the performance-regression gate
-## against the committed BENCH_*.json baseline (skipped on hosts without
-## one).
-check: fmtcheck vet lint build test racesmoke benchsmoke cachesmoke shootoutsmoke servesmoke benchdiff
+## byte-identity, SIGTERM drain), a short fuzzing pass over the file
+## decoders, and the performance-regression gate against the committed
+## BENCH_*.json baseline (skipped on hosts without one).
+check: fmtcheck vet lint build test racesmoke fuzzsmoke benchsmoke cachesmoke shootoutsmoke servesmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -41,7 +41,7 @@ race:
 ## the exact tests whose guarantees the parallel kernels could quietly
 ## break. Far faster than `make race`; the full sweep remains available.
 racesmoke:
-	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain' ./internal/kmeans
+	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|TestLadder' ./internal/kmeans
 	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute' ./internal/experiments
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball
 	$(GO) test -race -run 'TestForEachSharded|TestGroupDoCancelledComputerDoesNotPoisonWaiters|TestQueue' ./internal/sched
@@ -49,6 +49,13 @@ racesmoke:
 	$(GO) test -race -run 'TestCollectorRingAndProbes|TestExpositionParsesAndIsCoherent' ./internal/telemetry
 	$(GO) test -race -run 'TestLoadSmoke|TestDedupIdenticalConfigs|TestAdmissionAndLoadShedding|TestTraceIDPropagation|TestStatsHistoryEndpoint' ./internal/serve
 	$(GO) test -race -run 'TestSelectorDeterminism|TestSelectorInvariants' ./internal/selector
+
+## fuzzsmoke: a few seconds of coverage-guided fuzzing per decoder of
+## untrusted files — the pinball reader and the SimPoint text files — on top
+## of the committed seed corpora that plain `go test` already replays.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/pinball
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFiles$$' -fuzztime 5s ./internal/simpoint
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.
 bench:

@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"specsampling/internal/cache"
 	"specsampling/internal/obs"
@@ -173,6 +174,13 @@ type Analysis struct {
 	TotalInstrs uint64
 	// Result is the configured selector's region selection.
 	Result *simpoint.Result
+
+	// ladder serves Recluster for a SimPoint analysis. It is built on the
+	// first Recluster, so an Analysis is still usable as a struct literal
+	// and analyses that never recluster pay nothing for it.
+	ladderOnce sync.Once
+	ladder     *simpoint.Ladder
+	ladderErr  error
 }
 
 // Analyze builds the benchmark at the configured scale, profiles it, and
@@ -321,10 +329,35 @@ func (a *Analysis) SelectWith(ctx context.Context, cfg Config) (*simpoint.Result
 // Recluster re-runs the selection step of an existing analysis with a
 // different MaxK (the Figure 3(a) sweep) without re-profiling. The MaxK
 // knob belongs to the SimPoint block; other backends re-run unchanged.
+//
+// For the SimPoint backend every call picks from one per-analysis
+// simpoint.Ladder: the slices are projected once, the BIC scores of a
+// SimPoint Result seed it, and k-means runs only for candidate k no
+// earlier pick has scored, plus the chosen k. At the analysis's own MaxK
+// the answer is a.Result itself. Results equal SelectWith's bit for bit.
 func (a *Analysis) Recluster(ctx context.Context, maxK int) (*simpoint.Result, error) {
 	cfg := a.Config
 	cfg.SimPoint.MaxK = maxK
-	return a.SelectWith(ctx, cfg)
+	cfg = cfg.Normalize()
+	if cfg.Selector != selector.SimPointName {
+		return a.SelectWith(ctx, cfg)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	_, span := obs.Start(ctx, "cluster",
+		obs.String("bench", a.Prog.Name), obs.String("selector", cfg.Selector))
+	defer span.End()
+	a.ladderOnce.Do(func() {
+		sp := selector.SimPointParams(a.Config.selectorConfig())
+		if a.ladder, a.ladderErr = simpoint.NewLadder(a.Prog.Name, a.Slices, a.TotalInstrs, sp); a.ladderErr == nil {
+			a.ladder.Seed(a.Result)
+		}
+	})
+	if a.ladderErr != nil {
+		return nil, a.ladderErr
+	}
+	return a.ladder.Cluster(cfg.SimPoint.MaxK)
 }
 
 // VarianceSweep re-clusters the profiled slices at fixed k values and

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"testing"
 
-	"specsampling/internal/bbv"
 	"specsampling/internal/kmeans"
 	"specsampling/internal/simpoint"
 	"specsampling/internal/workload"
@@ -51,7 +50,7 @@ func requireIdenticalResults(t *testing.T, a, b *kmeans.Result, label string) {
 
 // suiteFixturePoints reproduces simpoint.Cluster's exact input for a real
 // suite workload at a reduced scale: profile the program into BBV slices,
-// then L1-normalise and randomly project each vector. These are the points
+// then L1-normalise and randomly project each vector (simpoint.Project). These are the points
 // the production pipeline actually clusters, so pinning bounded-vs-plain
 // identity here pins the pipeline, not just synthetic Gaussians.
 func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
@@ -68,15 +67,11 @@ func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := bbv.NewProjector(len(slices[0].BBV), bbv.DefaultProjectedDims, seed)
+	cfg := simpoint.DefaultConfig(workload.ScaleSmall.SliceLen)
+	cfg.Seed = seed
+	points, err := simpoint.Project(slices, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	points := make([][]float64, len(slices))
-	for i, s := range slices {
-		v := append([]float64(nil), s.BBV...)
-		bbv.NormalizeL1(v)
-		points[i] = proj.Project(v)
 	}
 	return points
 }

@@ -17,5 +17,10 @@ func RunPlain(points [][]float64, k int, cfg Config) (*Result, error) {
 
 // BestKPlain is BestK running every candidate through the plain kernel.
 func BestKPlain(points [][]float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
-	return bestKWith(points, maxK, threshold, cfg, RunPlain)
+	if err := validatePoints(points, 1); err != nil {
+		return nil, nil, err
+	}
+	return newLadder(len(points), len(points[0]), cfg, func(k int, sub Config) (*Result, error) {
+		return RunPlain(points, k, sub)
+	}).BestK(maxK, threshold)
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"specsampling/internal/obs"
 	"specsampling/internal/rng"
@@ -635,10 +634,14 @@ func sqDist(a, b []float64) float64 {
 // Moore (x-means), the criterion SimPoint 3.0 uses to pick k. Larger is
 // better.
 func BIC(points [][]float64, res *Result) float64 {
-	r := float64(len(points))
+	return bic(len(points), len(points[0]), res)
+}
+
+// bic is BIC over n points of dimension d.
+func bic(n, d int, res *Result) float64 {
+	r := float64(n)
 	k := float64(res.K)
-	d := float64(len(points[0]))
-	if len(points) <= res.K {
+	if n <= res.K {
 		return math.Inf(-1)
 	}
 	// Pooled variance estimate.
@@ -646,6 +649,7 @@ func BIC(points [][]float64, res *Result) float64 {
 	if sigma2 <= 0 {
 		sigma2 = 1e-12
 	}
+	dim := float64(d)
 	var ll float64
 	for _, size := range res.Sizes {
 		rn := float64(size)
@@ -654,10 +658,10 @@ func BIC(points [][]float64, res *Result) float64 {
 		}
 		ll += rn*math.Log(rn) -
 			rn*math.Log(r) -
-			rn*d/2*math.Log(2*math.Pi*sigma2) -
+			rn*dim/2*math.Log(2*math.Pi*sigma2) -
 			(rn-1)/2
 	}
-	params := k*(d+1) + 1
+	params := k*(dim+1) + 1
 	return ll - params/2*math.Log(r)
 }
 
@@ -665,131 +669,20 @@ func BIC(points [][]float64, res *Result) float64 {
 // returns the chosen result following SimPoint's rule: compute BIC for each
 // candidate, then pick the smallest k whose BIC reaches at least threshold
 // (e.g. 0.9) of the way from the minimum to the maximum BIC observed.
-// It also returns the per-candidate results and scores keyed by k.
+// It also returns the per-candidate scores keyed by k.
 //
-// Candidate runs are independent (each derives its own seed from cfg.Seed
-// and k) and execute in parallel across cfg.Workers goroutines; the
-// selection scan afterwards walks candidates in ascending order, so the
-// choice is identical to a serial sweep.
-//
-// The sweep flattens the point set once and shares the matrix (with its
-// precomputed norms) across every candidate run; Lloyd scratch buffers are
-// pooled so concurrent candidates allocate at most one scratch per worker.
-// Centre buffers are thereby reused across k — results stay bit-identical
-// to per-candidate Run calls because every buffer is fully rewritten before
-// use and each candidate still derives its own seed.
+// BestK is one pick from a fresh Ladder: the point set is flattened once,
+// candidate runs are independent (each derives its own seed from cfg.Seed
+// and k) and execute in parallel across cfg.Workers goroutines, and the
+// pick walks candidates in ascending order, so the choice is identical to
+// a serial sweep. Callers that pick at several maxK over one point set
+// keep the Ladder instead.
 func BestK(points [][]float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
-	if maxK <= 0 {
-		return nil, nil, fmt.Errorf("kmeans: maxK = %d", maxK)
-	}
-	if err := validatePoints(points, 1); err != nil {
+	l, err := NewLadder(points, cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	m := flatten(points)
-	var pool sync.Pool
-	run := func(_ [][]float64, k int, sub Config) (*Result, error) {
-		sc, _ := pool.Get().(*scratch)
-		if sc == nil {
-			sc = &scratch{}
-		}
-		defer pool.Put(sc)
-		return runFlat(m, k, sub, sc, true)
-	}
-	return bestKWith(points, maxK, threshold, cfg, run)
-}
-
-// bestKWith is the shared candidate sweep behind BestK and BestKWeighted.
-func bestKWith(points [][]float64, maxK int, threshold float64, cfg Config,
-	run func([][]float64, int, Config) (*Result, error)) (*Result, map[int]float64, error) {
-	if maxK <= 0 {
-		return nil, nil, fmt.Errorf("kmeans: maxK = %d", maxK)
-	}
-	if threshold <= 0 || threshold > 1 {
-		threshold = 0.9
-	}
-	candidates := candidateKs(maxK)
-	workers := sched.Workers(cfg.Workers)
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	timed := obs.Enabled()
-
-	type cand struct {
-		res *Result
-		bic float64
-		err error
-	}
-	out := make([]cand, len(candidates))
-	runOne := func(i int) {
-		k := candidates[i]
-		sub := cfg
-		sub.Seed = cfg.Seed ^ uint64(k)*0x9e37
-		if workers > 1 {
-			// The candidate sweep already saturates the worker budget;
-			// keep each run's assignment kernel serial to avoid
-			// oversubscription. Results do not depend on this choice.
-			sub.Workers = 1
-		}
-		var began time.Time
-		if timed {
-			//lint:ignore nondet instrumentation-only clock read, gated on obs.Enabled; never flows into results
-			began = time.Now()
-		}
-		res, err := run(points, k, sub)
-		if timed {
-			//lint:ignore nondet instrumentation-only duration for the candidate-k histogram; never flows into results
-			candidateKMS.Observe(float64(time.Since(began).Microseconds()) / 1e3)
-		}
-		if err != nil {
-			out[i].err = err
-			return
-		}
-		out[i] = cand{res: res, bic: BIC(points, res)}
-	}
-	if workers <= 1 {
-		for i := range candidates {
-			runOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := range candidates {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	results := make(map[int]*Result, len(candidates))
-	scores := make(map[int]float64, len(candidates))
-	minB, maxB := math.Inf(1), math.Inf(-1)
-	for i, k := range candidates {
-		if out[i].err != nil {
-			return nil, nil, out[i].err
-		}
-		results[k] = out[i].res
-		scores[k] = out[i].bic
-		if out[i].bic < minB {
-			minB = out[i].bic
-		}
-		if out[i].bic > maxB {
-			maxB = out[i].bic
-		}
-	}
-	span := maxB - minB
-	for _, k := range candidates {
-		if span == 0 || scores[k] >= minB+threshold*span {
-			return results[k], scores, nil
-		}
-	}
-	// Unreachable: the max-scoring k always passes.
-	last := candidates[len(candidates)-1]
-	return results[last], scores, nil
+	return l.BestK(maxK, threshold)
 }
 
 // candidateKs enumerates the k values BestK evaluates: every k up to 10,

@@ -180,12 +180,14 @@ func seedPlusPlusWeighted(points [][]float64, weights []float64, k int, r *rng.R
 // candidate k grid with RunWeighted and scores candidates with BIC over the
 // weighted WCSS (an approximation — the point count, not the weight mass,
 // enters the complexity penalty — adequate for model selection). Candidate
-// runs execute in parallel like BestK's.
+// runs execute in parallel like BestK's, through the same Ladder.
 func BestKWeighted(points [][]float64, weights []float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
-	return bestKWith(points, maxK, threshold, cfg,
-		func(pts [][]float64, k int, sub Config) (*Result, error) {
-			return RunWeighted(pts, weights, k, sub)
-		})
+	if err := validatePoints(points, 1); err != nil {
+		return nil, nil, err
+	}
+	return newLadder(len(points), len(points[0]), cfg, func(k int, sub Config) (*Result, error) {
+		return RunWeighted(points, weights, k, sub)
+	}).BestK(maxK, threshold)
 }
 
 // weightedPick samples an index with probability proportional to weight.

@@ -44,7 +44,7 @@ import (
 
 // DefaultName is the backend used when a configuration names none: the
 // paper's SimPoint pipeline.
-const DefaultName = "simpoint"
+const DefaultName = SimPointName
 
 // Config is the backend-independent selection configuration handed to every
 // Selector. The common fields (slice length, seed, worker budget) apply to

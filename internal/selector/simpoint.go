@@ -18,7 +18,10 @@ func init() { Register(simPointSelector{}) }
 // determinism snapshots).
 type simPointSelector struct{}
 
-func (simPointSelector) Name() string { return "simpoint" }
+// SimPointName is the SimPoint backend's registry name.
+const SimPointName = "simpoint"
+
+func (simPointSelector) Name() string { return SimPointName }
 
 // SimPointParams resolves cfg into the simpoint.Config the backend runs
 // with: the paper defaults at cfg.SliceLen, the SimPoint block's knobs, and

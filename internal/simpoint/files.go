@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -71,13 +72,31 @@ type FilePoint struct {
 }
 
 // ReadFiles parses "<prefix>.simpoints" and "<prefix>.weights" back into
-// (sliceIndex, weight) pairs keyed by point ID order.
+// (sliceIndex, weight) pairs keyed by point ID order. Every slice index
+// must be a non-negative integer and every weight finite and
+// non-negative; a violation is reported with its file and line.
 func ReadFiles(prefix string) ([]FilePoint, error) {
-	simpoints, err := readPairs(prefix + ".simpoints")
+	spFile, err := os.Open(prefix + ".simpoints")
+	if err != nil {
+		return nil, fmt.Errorf("simpoint: %w", err)
+	}
+	defer spFile.Close()
+	wFile, err := os.Open(prefix + ".weights")
+	if err != nil {
+		return nil, fmt.Errorf("simpoint: %w", err)
+	}
+	defer wFile.Close()
+	return parseFiles(prefix, spFile, wFile)
+}
+
+// parseFiles is ReadFiles over open file bodies; prefix names them in
+// errors.
+func parseFiles(prefix string, simpointsBody, weightsBody io.Reader) ([]FilePoint, error) {
+	simpoints, err := readPairs(prefix+".simpoints", simpointsBody, checkSliceIndex)
 	if err != nil {
 		return nil, err
 	}
-	weights, err := readPairs(prefix + ".weights")
+	weights, err := readPairs(prefix+".weights", weightsBody, checkWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -85,32 +104,45 @@ func ReadFiles(prefix string) ([]FilePoint, error) {
 		return nil, fmt.Errorf("simpoint: %d simpoints vs %d weights", len(simpoints), len(weights))
 	}
 	out := make([]FilePoint, len(simpoints))
-	for i := range simpoints {
-		if simpoints[i].id != weights[i].id {
-			return nil, fmt.Errorf("simpoint: point id mismatch at line %d: %d vs %d",
-				i+1, simpoints[i].id, weights[i].id)
+	for i, sp := range simpoints {
+		w := weights[i]
+		if sp.id != w.id {
+			return nil, fmt.Errorf("simpoint: point id mismatch: %s.simpoints:%d has %d, %s.weights:%d has %d",
+				prefix, sp.line, sp.id, prefix, w.line, w.id)
 		}
-		out[i] = FilePoint{
-			SliceIndex: int(simpoints[i].value),
-			Weight:     weights[i].value,
-		}
+		out[i] = FilePoint{SliceIndex: int(sp.value), Weight: w.value}
 	}
 	return out, nil
 }
 
+// checkSliceIndex accepts a slice index: an integer in [0, MaxInt).
+func checkSliceIndex(v float64) error {
+	if v < 0 || v != math.Trunc(v) || v >= math.MaxInt {
+		return fmt.Errorf("slice index %v is not a non-negative integer", v)
+	}
+	return nil
+}
+
+// checkWeight accepts a weight: finite and non-negative.
+func checkWeight(v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("weight %v is not finite and non-negative", v)
+	}
+	return nil
+}
+
+// pair is one "<value> <id>" line and the line it came from.
 type pair struct {
 	value float64
 	id    int
+	line  int
 }
 
-func readPairs(path string) ([]pair, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("simpoint: %w", err)
-	}
-	defer f.Close()
+// readPairs parses the "<value> <id>" lines of one file body, skipping
+// blank lines; check vets each value. name labels errors.
+func readPairs(name string, r io.Reader, check func(float64) error) ([]pair, error) {
 	var out []pair
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -120,20 +152,23 @@ func readPairs(path string) ([]pair, error) {
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("simpoint: %s:%d: want 2 fields, got %d", path, line, len(fields))
+			return nil, fmt.Errorf("simpoint: %s:%d: want 2 fields, got %d", name, line, len(fields))
 		}
 		v, err := strconv.ParseFloat(fields[0], 64)
 		if err != nil {
-			return nil, fmt.Errorf("simpoint: %s:%d: %w", path, line, err)
+			return nil, fmt.Errorf("simpoint: %s:%d: %w", name, line, err)
+		}
+		if err := check(v); err != nil {
+			return nil, fmt.Errorf("simpoint: %s:%d: %w", name, line, err)
 		}
 		id, err := strconv.Atoi(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("simpoint: %s:%d: %w", path, line, err)
+			return nil, fmt.Errorf("simpoint: %s:%d: %w", name, line, err)
 		}
-		out = append(out, pair{value: v, id: id})
+		out = append(out, pair{value: v, id: id, line: line})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("simpoint: scan %s: %w", path, err)
+		return nil, fmt.Errorf("simpoint: scan %s: %w", name, err)
 	}
 	return out, nil
 }

@@ -194,22 +194,24 @@ func (r *Result) SampledInstrs() uint64 {
 	return sum
 }
 
-// Cluster runs steps 2-3 of the pipeline on profiled slices.
-func Cluster(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// kmeansConfig resolves the clustering engine config: cfg.KMeans, or
+// kmeans.DefaultConfig(Seed) when it is unset.
+func (c Config) kmeansConfig() kmeans.Config {
+	if c.KMeans.MaxIter == 0 && c.KMeans.Restarts == 0 {
+		return kmeans.DefaultConfig(c.Seed)
 	}
+	return c.KMeans
+}
+
+// Project is step 2's input transform: it L1-normalises every slice's BBV
+// (on a copy) and randomly projects it to cfg.ProjectDims dimensions with
+// the projector cfg.Seed derives. Cluster, ClusterWeighted, VarianceSweep
+// and Ladder all cluster its output.
+func Project(slices []Slice, cfg Config) ([][]float64, error) {
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("simpoint: no slices")
 	}
-	kcfg := cfg.KMeans
-	if kcfg.MaxIter == 0 && kcfg.Restarts == 0 {
-		kcfg = kmeans.DefaultConfig(cfg.Seed)
-	}
-
-	// Normalise + project.
-	dims := len(slices[0].BBV)
-	proj, err := bbv.NewProjector(dims, cfg.ProjectDims, cfg.Seed)
+	proj, err := bbv.NewProjector(len(slices[0].BBV), cfg.ProjectDims, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -219,20 +221,99 @@ func Cluster(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (
 		bbv.NormalizeL1(v)
 		points[i] = proj.Project(v)
 	}
+	return points, nil
+}
 
-	res, scores, err := kmeans.BestK(points, cfg.MaxK, cfg.BICThreshold, kcfg)
+// Cluster runs steps 2-3 of the pipeline on profiled slices.
+func Cluster(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (*Result, error) {
+	l, err := NewLadder(benchmark, slices, totalInstrs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pts := choosePoints(slices, points, res)
+	return l.Cluster(cfg.MaxK)
+}
+
+// Ladder clusters one profiled slice set at any MaxK. It projects the
+// slices once and keeps a kmeans.Ladder over them, so clustering at a new
+// MaxK runs only the candidate k the ladder has not scored yet (plus the
+// chosen k if only its score is known) — the Figure 3(a) sweep. Every
+// result equals Cluster's at the same MaxK, bit for bit.
+type Ladder struct {
+	benchmark string
+	slices    []Slice
+	total     uint64
+	cfg       Config
+	points    [][]float64
+	km        *kmeans.Ladder
+	prev      *Result
+}
+
+// NewLadder projects the slices under cfg and returns a ladder with no
+// candidate scored. cfg.MaxK is only validated; Cluster takes the MaxK.
+func NewLadder(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (*Ladder, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	points, err := Project(slices, cfg)
+	if err != nil {
+		return nil, err
+	}
+	km, err := kmeans.NewLadder(points, cfg.kmeansConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &Ladder{benchmark: benchmark, slices: slices, total: totalInstrs,
+		cfg: cfg, points: points, km: km}, nil
+}
+
+// Seed hands the ladder a result Cluster computed earlier for the same
+// benchmark and slices (a stored analysis, say). If prev was clustered
+// under the ladder's projection and k-means configuration, its BIC scores
+// join the ladder, and Cluster returns prev itself at prev's exact Config;
+// otherwise Seed ignores it. Call Seed before the ladder is shared between
+// goroutines.
+func (l *Ladder) Seed(prev *Result) {
+	if prev == nil || prev.BIC == nil || prev.Benchmark != l.benchmark ||
+		prev.NumSlices != len(l.slices) || prev.TotalInstrs != l.total ||
+		prev.Config.clustering() != l.cfg.clustering() {
+		return
+	}
+	l.km.SeedScores(prev.BIC)
+	l.prev = prev
+}
+
+// clustering keeps the knobs a candidate k's k-means run and BIC score
+// depend on, zeroing MaxK, BICThreshold and the worker budget.
+func (c Config) clustering() Config {
+	c.KMeans = c.kmeansConfig()
+	c.KMeans.Workers = 0
+	c.MaxK, c.BICThreshold = 0, 0
+	return c
+}
+
+// Cluster returns the result Cluster would return for the ladder's Config
+// with MaxK set to maxK.
+func (l *Ladder) Cluster(maxK int) (*Result, error) {
+	cfg := l.cfg
+	cfg.MaxK = maxK
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if l.prev != nil && l.prev.Config == cfg {
+		return l.prev, nil
+	}
+	res, scores, err := l.km.BestK(maxK, cfg.BICThreshold)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
-		Benchmark:          benchmark,
+		Benchmark:          l.benchmark,
 		Config:             cfg,
-		NumSlices:          len(slices),
-		TotalInstrs:        totalInstrs,
-		Points:             pts,
+		NumSlices:          len(l.slices),
+		TotalInstrs:        l.total,
+		Points:             choosePoints(l.slices, l.points, res),
 		BIC:                scores,
-		AvgClusterVariance: res.WCSS / float64(len(slices)),
+		AvgClusterVariance: res.WCSS / float64(len(l.slices)),
 	}, nil
 }
 
@@ -317,28 +398,19 @@ func (r *Result) Reduce(percentile float64) (*Result, error) {
 // within-cluster variance for each — the paper's Figure 4 ("as number of
 // available clusters decrease, the phases try to adjust themselves within
 // these clusters at the expense of accuracy").
+//
+// It deliberately stays off the Ladder: every k here runs with the
+// configuration seed itself, where BestK's candidates derive theirs from
+// the seed and k, so ladder runs would report different variances.
 func VarianceSweep(slices []Slice, ks []int, cfg Config) (map[int]float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("simpoint: no slices")
-	}
-	kcfg := cfg.KMeans
-	if kcfg.MaxIter == 0 && kcfg.Restarts == 0 {
-		kcfg = kmeans.DefaultConfig(cfg.Seed)
-	}
-	dims := len(slices[0].BBV)
-	proj, err := bbv.NewProjector(dims, cfg.ProjectDims, cfg.Seed)
+	points, err := Project(slices, cfg)
 	if err != nil {
 		return nil, err
 	}
-	points := make([][]float64, len(slices))
-	for i, s := range slices {
-		v := append([]float64(nil), s.BBV...)
-		bbv.NormalizeL1(v)
-		points[i] = proj.Project(v)
-	}
+	kcfg := cfg.kmeansConfig()
 	out := make(map[int]float64, len(ks))
 	for _, k := range ks {
 		res, err := kmeans.Run(points, k, kcfg)

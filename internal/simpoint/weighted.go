@@ -1,7 +1,6 @@
 package simpoint
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -22,29 +21,15 @@ func ClusterWeighted(benchmark string, slices []Slice, totalInstrs uint64, cfg C
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("simpoint: no slices")
-	}
-	kcfg := cfg.KMeans
-	if kcfg.MaxIter == 0 && kcfg.Restarts == 0 {
-		kcfg = kmeans.DefaultConfig(cfg.Seed)
-	}
-
-	dims := len(slices[0].BBV)
-	proj, err := bbv.NewProjector(dims, cfg.ProjectDims, cfg.Seed)
+	points, err := Project(slices, cfg)
 	if err != nil {
 		return nil, err
 	}
-	points := make([][]float64, len(slices))
 	weights := make([]float64, len(slices))
 	for i, s := range slices {
-		v := append([]float64(nil), s.BBV...)
-		bbv.NormalizeL1(v)
-		points[i] = proj.Project(v)
 		weights[i] = float64(s.Len)
 	}
-
-	res, scores, err := kmeans.BestKWeighted(points, weights, cfg.MaxK, cfg.BICThreshold, kcfg)
+	res, scores, err := kmeans.BestKWeighted(points, weights, cfg.MaxK, cfg.BICThreshold, cfg.kmeansConfig())
 	if err != nil {
 		return nil, err
 	}
