@@ -51,11 +51,13 @@ racesmoke:
 	$(GO) test -race -run 'TestSelectorDeterminism|TestSelectorInvariants' ./internal/selector
 
 ## fuzzsmoke: a few seconds of coverage-guided fuzzing per decoder of
-## untrusted files — the pinball reader and the SimPoint text files — on top
-## of the committed seed corpora that plain `go test` already replays.
+## untrusted files — the pinball reader and the SimPoint text files — and
+## for the bounded k-means kernel's bit-identity with the plain kernel, on
+## top of the committed seed corpora that plain `go test` already replays.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/pinball
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFiles$$' -fuzztime 5s ./internal/simpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundedMatchesPlain$$' -fuzztime 5s ./internal/kmeans
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.
 bench:

@@ -363,47 +363,3 @@ func TestRepeatedReplayReducesL3Error(t *testing.T) {
 		t.Error("empty pinballs accepted")
 	}
 }
-
-func TestSplitWarmingReducesL3Error(t *testing.T) {
-	an := analyzeBench(t, "505.mcf_r")
-	hier := an.CacheConfig()
-	whole, err := an.WholeCache(tctx, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pbs, err := an.Pinballs(an.Result, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := an.SampledCache(tctx, pbs, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := an.SampledCacheSplit(tctx, pbs, hier, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldErr := math.Abs(cold.L3 - whole.L3)
-	splitErr := math.Abs(split.L3 - whole.L3)
-	if splitErr > coldErr {
-		t.Errorf("split warming increased L3 error: %v -> %v", coldErr, splitErr)
-	}
-	// Measured instructions shrink by roughly the warm fraction.
-	if split.Instrs >= cold.Instrs {
-		t.Error("split warming should measure fewer instructions")
-	}
-	// Zero warm fraction must equal the plain path.
-	zero, err := an.SampledCacheSplit(tctx, pbs, hier, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(zero.L3-cold.L3) > 1e-9 {
-		t.Errorf("warmFrac=0 L3 %v != plain %v", zero.L3, cold.L3)
-	}
-	if _, err := an.SampledCacheSplit(tctx, pbs, hier, 1.0); err == nil {
-		t.Error("warmFrac=1 accepted")
-	}
-	if _, err := an.SampledCacheSplit(tctx, nil, hier, 0.5); err == nil {
-		t.Error("empty pinballs accepted")
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"specsampling/internal/pin"
 	"specsampling/internal/pinball"
 	"specsampling/internal/pintool"
-	"specsampling/internal/program"
 	"specsampling/internal/stats"
 	"specsampling/internal/timing"
 )
@@ -243,73 +242,6 @@ func (a *Analysis) SampledCacheRepeated(ctx context.Context, pbs []*pinball.Pinb
 		l1i[i] = h.L1I.Stats().MissRate()
 		l3Acc += h.L3.Stats().Accesses
 		instrs += r.Executed
-	}
-	return CacheProfile{
-		L1D: stats.WeightedMean(l1d, weights),
-		L2:  stats.WeightedMean(l2, weights),
-		L3:  stats.WeightedMean(l3, weights),
-		L1I: stats.WeightedMean(l1i, weights),
-
-		L3Accesses: l3Acc,
-		Instrs:     instrs,
-	}, nil
-}
-
-// SampledCacheSplit implements functional warming *within* each region, in
-// the spirit of SimFlex's warming discussion (Section V-B): the first
-// warmFrac of every simulation point's instructions update the caches
-// without being counted, and only the remainder is measured. Unlike the
-// warm-up-checkpoint mitigation this needs no state prior to the region —
-// useful when only the regional pinballs themselves are available — at the
-// cost of measuring a shorter sample.
-func (a *Analysis) SampledCacheSplit(ctx context.Context, pbs []*pinball.Pinball, cfg cache.HierarchyConfig, warmFrac float64) (CacheProfile, error) {
-	if len(pbs) == 0 {
-		return CacheProfile{}, fmt.Errorf("core: no pinballs")
-	}
-	if warmFrac < 0 || warmFrac >= 1 {
-		return CacheProfile{}, fmt.Errorf("core: warm fraction %v out of [0,1)", warmFrac)
-	}
-	_, span := obs.Start(ctx, "replay_split",
-		obs.String("bench", a.Prog.Name), obs.Int("pinballs", len(pbs)))
-	defer span.End()
-	weights := make([]float64, len(pbs))
-	l1d := make([]float64, len(pbs))
-	l2 := make([]float64, len(pbs))
-	l3 := make([]float64, len(pbs))
-	l1i := make([]float64, len(pbs))
-	var l3Acc, instrs uint64
-	for i, pb := range pbs {
-		if err := ctx.Err(); err != nil {
-			return CacheProfile{}, err
-		}
-		h, err := cache.NewHierarchy(cfg)
-		if err != nil {
-			return CacheProfile{}, err
-		}
-		exec := program.NewExecutor(a.Prog)
-		if err := exec.Restore(pb.Start); err != nil {
-			return CacheProfile{}, fmt.Errorf("core: restore region %d: %w", i, err)
-		}
-		engine := pin.NewEngineAt(exec)
-		tool := pintool.NewAllCache(h)
-		if err := engine.Attach(tool); err != nil {
-			return CacheProfile{}, err
-		}
-		warmLen := uint64(float64(pb.Len) * warmFrac)
-		var ran uint64
-		if warmLen > 0 {
-			h.SetWarmup(true)
-			ran = engine.Run(warmLen)
-			h.SetWarmup(false)
-		}
-		if ran < pb.Len {
-			instrs += engine.Run(pb.Len - ran)
-		}
-		weights[i] = pb.Weight
-		countHierarchy(h)
-		l1d[i], l2[i], l3[i] = h.MissRates()
-		l1i[i] = h.L1I.Stats().MissRate()
-		l3Acc += h.L3.Stats().Accesses
 	}
 	return CacheProfile{
 		L1D: stats.WeightedMean(l1d, weights),

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"specsampling/internal/kmeans"
+	"specsampling/internal/obs"
 	"specsampling/internal/simpoint"
 	"specsampling/internal/workload"
 )
@@ -49,11 +50,12 @@ func requireIdenticalResults(t *testing.T, a, b *kmeans.Result, label string) {
 }
 
 // suiteFixturePoints reproduces simpoint.Cluster's exact input for a real
-// suite workload at a reduced scale: profile the program into BBV slices,
-// then L1-normalise and randomly project each vector (simpoint.Project). These are the points
-// the production pipeline actually clusters, so pinning bounded-vs-plain
-// identity here pins the pipeline, not just synthetic Gaussians.
-func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
+// suite workload at small scale: profile the program into BBV slices of
+// sliceLen instructions, then L1-normalise and randomly project each vector
+// (simpoint.Project). These are the points the production pipeline actually
+// clusters, so pinning bounded-vs-plain identity here pins the pipeline,
+// not just synthetic Gaussians.
+func suiteFixturePoints(t testing.TB, name string, sliceLen, seed uint64) [][]float64 {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -63,11 +65,11 @@ func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices, _, err := simpoint.Profile(prog, workload.ScaleSmall.SliceLen)
+	slices, _, err := simpoint.Profile(prog, sliceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := simpoint.DefaultConfig(workload.ScaleSmall.SliceLen)
+	cfg := simpoint.DefaultConfig(sliceLen)
 	cfg.Seed = seed
 	points, err := simpoint.Project(slices, cfg)
 	if err != nil {
@@ -76,39 +78,102 @@ func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
 	return points
 }
 
-// TestBoundedMatchesPlainOnSuiteFixtures is the satellite determinism test:
+// TestBoundedMatchesPlainOnSuiteFixtures pins the pipeline's own inputs:
 // on real suite BBV fixtures the bounded kernel must produce byte-identical
-// assignments, centroids and WCSS to the plain Lloyd path, for both Run and
-// the BestK sweep and for every worker count. Runs under -race via the
-// Makefile racesmoke target.
+// assignments, centroids, WCSS and BIC scores to the plain Lloyd path, for
+// both Run and the BestK sweep and for every worker count. The xalancbmk
+// case is the Fig 3(b) workload at its 15 M slice size: more points than
+// SampleSize, so training runs on a subsample and assignMatrix labels every
+// point. Runs under -race via the Makefile racesmoke target.
 func TestBoundedMatchesPlainOnSuiteFixtures(t *testing.T) {
-	for _, name := range []string{"perlbench_r", "mcf_r", "lbm_r"} {
-		t.Run(name, func(t *testing.T) {
-			points := suiteFixturePoints(t, name, simpoint.DefaultSeed)
+	cases := []struct {
+		name string
+		runK int
+		load func(t testing.TB) [][]float64
+	}{
+		{"perlbench_r", 8, smallScaleFixture("perlbench_r")},
+		{"mcf_r", 8, smallScaleFixture("mcf_r")},
+		{"lbm_r", 8, smallScaleFixture("lbm_r")},
+		{"623.xalancbmk_s-15M", simpoint.DefaultMaxK, xalancFig3bPoints},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			points := tc.load(t)
 			cfg := kmeans.DefaultConfig(simpoint.DefaultSeed)
 			cfg.Workers = 1
-			plain, err := kmeans.RunPlain(points, 8, cfg)
+			plain, err := kmeans.RunPlain(points, tc.runK, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plainBest, _, err := kmeans.BestKPlain(points, simpoint.DefaultMaxK, simpoint.DefaultBICThreshold, cfg)
+			plainBest, plainBIC, err := kmeans.BestKPlain(points, simpoint.DefaultMaxK, simpoint.DefaultBICThreshold, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4} {
 				wcfg := cfg
 				wcfg.Workers = workers
-				bounded, err := kmeans.Run(points, 8, wcfg)
+				label := tc.name + "/workers=" + strconv.Itoa(workers)
+				bounded, err := kmeans.Run(points, tc.runK, wcfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireIdenticalResults(t, plain, bounded, name+"/run/workers="+strconv.Itoa(workers))
-				best, _, err := kmeans.BestK(points, simpoint.DefaultMaxK, simpoint.DefaultBICThreshold, wcfg)
+				requireIdenticalResults(t, plain, bounded, label+"/run")
+				best, bic, err := kmeans.BestK(points, simpoint.DefaultMaxK, simpoint.DefaultBICThreshold, wcfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireIdenticalResults(t, plainBest, best, name+"/bestk/workers="+strconv.Itoa(workers))
+				requireIdenticalResults(t, plainBest, best, label+"/bestk")
+				for k, v := range plainBIC {
+					if math.Float64bits(bic[k]) != math.Float64bits(v) {
+						t.Fatalf("%s: BIC[%d] %v != %v", label, k, bic[k], v)
+					}
+				}
 			}
 		})
+	}
+}
+
+// smallScaleFixture loads a suite workload's points at the small scale's
+// default slice length.
+func smallScaleFixture(name string) func(testing.TB) [][]float64 {
+	return func(t testing.TB) [][]float64 {
+		return suiteFixturePoints(t, name, workload.ScaleSmall.SliceLen, simpoint.DefaultSeed)
+	}
+}
+
+// xalancFig3bPoints is the Figure 3 subject profiled at Fig 3(b)'s smallest
+// slice size (15 M instructions, mapped to small scale): the largest point
+// set the sweep clusters, and one above kmeans.DefaultConfig's SampleSize,
+// so training runs on a subsample and assignMatrix labels every point.
+func xalancFig3bPoints(t testing.TB) [][]float64 {
+	t.Helper()
+	sliceLen := workload.ScaleSmall.SliceLenForPaperSize(15_000_000)
+	points := suiteFixturePoints(t, "623.xalancbmk_s", sliceLen, simpoint.DefaultSeed)
+	if n, s := len(points), kmeans.DefaultConfig(0).SampleSize; n <= s {
+		t.Fatalf("xalancbmk 15M fixture has %d points, want more than SampleSize %d", n, s)
+	}
+	return points
+}
+
+// TestBoundedSkipRatioOnFig3bFixture holds the kernel to the share of work
+// it exists to save: over one MaxK-35 BestK on the Fig 3(b) workload, at
+// least three in four counted point-iterations must be skips rather than
+// scans (first-iteration scans included). A scan is one full pass over all
+// k centroids for one point; both counts are deterministic for a given
+// input and seed.
+func TestBoundedSkipRatioOnFig3bFixture(t *testing.T) {
+	points := xalancFig3bPoints(t)
+	skips, scans := obs.GetCounter("kmeans.bounds_skips"), obs.GetCounter("kmeans.bounds_scans")
+	skip0, scan0 := skips.Value(), scans.Value()
+	cfg := kmeans.DefaultConfig(simpoint.DefaultSeed)
+	cfg.Workers = 1
+	if _, _, err := kmeans.BestK(points, simpoint.DefaultMaxK, simpoint.DefaultBICThreshold, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sk, sn := skips.Value()-skip0, scans.Value()-scan0
+	ratio := float64(sk) / float64(sk+sn)
+	t.Logf("skips %d, scans %d, skip ratio %.3f", sk, sn, ratio)
+	if ratio < 0.75 {
+		t.Errorf("skip ratio %.3f below 0.75 (%d skips, %d scans)", ratio, sk, sn)
 	}
 }

@@ -7,11 +7,16 @@
 // precomputed squared norms, reuse scratch buffers across Lloyd iterations
 // and restarts, and parallelise both the assignment step and the
 // independent candidate-k runs of BestK. On top of the norm-expansion
-// pruning, Lloyd iterations maintain Hamerly-style triangle-inequality
-// lower bounds (see bounded.go) that skip the full centroid scan for
-// points provably still closest to their assigned centroid — with a
-// conservative floating-point margin sized so the bounded path is
-// bit-identical to the plain scan. Results are deterministic in the
+// pruning, the one bounded kernel (bounded.go) skips work the triangle
+// inequality proves redundant: Elkan-style per-centroid lower bounds
+// (n×k float64 per pooled scratch, n capped by SampleSize) and a
+// centroid-separation test skip the full centroid scan for points provably
+// still closest to their assigned centroid, and k-means++ seeding skips
+// distances that provably cannot lower a point's D² weight. Every test
+// carries a floating-point margin sized so the bounded path is
+// bit-identical to the plain scan and the unpruned seeding, which are kept
+// as the test reference. On the Fig 3(b) xalancbmk fixture the bounds skip
+// 80 % of the kernel's point-iterations. Results are deterministic in the
 // configuration seed and, by construction, independent of Workers: every
 // per-point decision is computed from the same inputs regardless of how
 // points are partitioned across goroutines, and all floating-point
@@ -174,8 +179,14 @@ type scratch struct {
 	assign   []int     // n: current assignment
 	prev     []int     // n: previous iteration's assignment
 	minD     []float64 // n: distance to the assigned centroid
-	lb       []float64 // n: lower bound on the second-closest distance
 	d2       []float64 // n: k-means++ D² weights
+
+	// Bounded kernel only (bounded.go).
+	lb     []float64 // n*k: per-centroid lower bounds, offset by drift
+	drift  []float64 // k: cumulative bound decay per centroid
+	half   []float64 // k: half the distance to the nearest other centroid
+	near   []int     // n: seeding's nearest chosen centre per point
+	seedCC []float64 // k: seeding's centre-to-new-centre distances
 }
 
 func newScratch(n, k, d int) *scratch {
@@ -188,7 +199,8 @@ func newScratch(n, k, d int) *scratch {
 // only when a previous use was smaller. No buffer carries state between
 // runs: each is fully written before it is read (cents by seeding, sums and
 // sizes by zeroing loops, assign by the -1 reset, minD/lb by the assignment
-// pass, d2 by seeding), so reuse across BestK candidates is safe.
+// pass, d2/near/seedCC by seeding, drift by lloyd's reset, half per
+// iteration), so reuse across BestK candidates is safe.
 func (sc *scratch) ensure(n, k, d int) {
 	sc.cents = growFloat(sc.cents, k*d)
 	sc.oldCents = growFloat(sc.oldCents, k*d)
@@ -205,8 +217,15 @@ func (sc *scratch) ensure(n, k, d int) {
 	}
 	sc.assign, sc.prev = sc.assign[:n], sc.prev[:n]
 	sc.minD = growFloat(sc.minD, n)
-	sc.lb = growFloat(sc.lb, n)
 	sc.d2 = growFloat(sc.d2, n)
+	sc.lb = growFloat(sc.lb, n*k)
+	sc.drift = growFloat(sc.drift, k)
+	sc.half = growFloat(sc.half, k)
+	sc.seedCC = growFloat(sc.seedCC, k)
+	if cap(sc.near) < n {
+		sc.near = make([]int, n)
+	}
+	sc.near = sc.near[:n]
 }
 
 // growFloat reslices b to length n, reallocating only if the capacity is
@@ -394,21 +413,23 @@ func sampleIndices(total, n int, seed uint64) []int {
 // and returning the WCSS. The final iteration's assignment pass doubles as
 // the result pass — no extra full-distance sweep is needed afterwards.
 //
-// With bounded set, iterations past the first use the triangle-inequality
-// kernel (bounded.go): per point, only the exact distance to the currently
-// assigned centroid is recomputed, and the scan over the other k−1
-// centroids is skipped whenever the maintained lower bound proves no other
-// centroid can win. The safety margin makes the skip decision immune to
-// floating-point slop, so both kernels produce bit-identical assignments,
-// centroids and WCSS — pinned by TestBoundedMatchesPlain*.
+// With bounded set, seeding is pruned and iterations past the first use
+// the triangle-inequality kernel (bounded.go): per point, only the exact
+// distance to the currently assigned centroid is recomputed, and the scan
+// over the other k−1 centroids is skipped whenever the separation test or
+// the per-centroid lower bounds prove no other centroid can win. The
+// safety margin makes every skip decision immune to floating-point slop,
+// so both kernels produce bit-identical assignments, centroids and WCSS —
+// pinned by TestBoundedMatchesPlain* and FuzzBoundedMatchesPlain.
 func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded bool) float64 {
-	seedPlusPlus(m, k, r, sc)
+	seedPlusPlus(m, k, r, sc, bounded)
 	for i := range sc.assign {
 		sc.assign[i] = -1
 	}
 	margin := 0.0
 	if bounded {
 		margin = m.boundsMargin()
+		clear(sc.drift[:k])
 	}
 	var wcss float64
 	for iter := 0; ; iter++ {
@@ -419,6 +440,7 @@ func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded 
 		} else if iter == 0 {
 			assignPointsFull(m, sc, k, workers, margin)
 		} else {
+			refreshSeparation(sc, k, m.d, margin)
 			assignPointsBounded(m, sc, k, workers, margin)
 		}
 
@@ -448,7 +470,7 @@ func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded 
 		}
 		updateCentroids(m, sc, k)
 		if bounded {
-			decayBounds(m, sc, k, margin)
+			decayBounds(sc, k, m.d, margin)
 		}
 	}
 }
@@ -576,8 +598,10 @@ func assignAll(points [][]float64, centroids [][]float64) *Result {
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting,
 // writing them into sc.cents. The RNG consumption order matches the
 // original slice-based implementation exactly, so seeding is bit-compatible
-// with earlier versions of this package.
-func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch) {
+// with earlier versions of this package. With pruned set, the D² update
+// skips the distances the triangle inequality proves cannot lower a
+// weight (updateD2Pruned); the weights, and so every draw, are unchanged.
+func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, pruned bool) {
 	d := m.d
 	first := r.Intn(m.n)
 	copy(sc.cents[0:d], m.row(first))
@@ -586,6 +610,9 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch) {
 	c0 := sc.cents[0:d]
 	for i := 0; i < m.n; i++ {
 		d2[i] = sqDist(m.row(i), c0)
+	}
+	if pruned {
+		clear(sc.near)
 	}
 	for picked := 1; picked < k; picked++ {
 		var total float64
@@ -610,6 +637,10 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch) {
 		}
 		c := sc.cents[picked*d : (picked+1)*d]
 		copy(c, m.row(idx))
+		if pruned {
+			updateD2Pruned(m, sc, picked)
+			continue
+		}
 		for i := 0; i < m.n; i++ {
 			if dd := sqDist(m.row(i), c); dd < d2[i] {
 				d2[i] = dd
