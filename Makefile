@@ -52,12 +52,14 @@ racesmoke:
 
 ## fuzzsmoke: a few seconds of coverage-guided fuzzing per decoder of
 ## untrusted files — the pinball reader and the SimPoint text files — and
-## for the bounded k-means kernel's bit-identity with the plain kernel, on
-## top of the committed seed corpora that plain `go test` already replays.
+## for the two kernels kept bit-identical with a reference: bounded vs
+## plain k-means, and the recency-ordered cache sets vs the stamp-and-scan
+## LRU model. The committed seed corpora replay under plain `go test`.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/pinball
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFiles$$' -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundedMatchesPlain$$' -fuzztime 5s ./internal/kmeans
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMatchesReference$$' -fuzztime 5s ./internal/cache
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.
 bench:

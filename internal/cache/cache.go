@@ -3,6 +3,13 @@
 // of set-associative (or direct-mapped) caches with true-LRU replacement,
 // counting accesses and misses per level.
 //
+// Each set keeps its resident lines in recency order, most recent first:
+// a hit moves its line to the front, a miss pushes the new line onto the
+// front and, in a full set, drops the last (least recent) one. Under true
+// LRU which lines a set holds does not depend on the way each line sits
+// in, so no victim is ever searched for and every hit/miss is exactly
+// that of a per-way stamp model.
+//
 // Table I of the paper defines the hierarchy used for all miss-rate
 // experiments; TableIConfig reproduces it exactly.
 package cache
@@ -10,6 +17,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config describes one cache level.
@@ -30,7 +38,7 @@ func (c Config) Sets() uint64 {
 }
 
 // Validate reports configuration errors (zero sizes, non-power-of-two
-// geometry).
+// geometry, one-byte lines).
 func (c Config) Validate() error {
 	if c.SizeBytes == 0 || c.LineBytes == 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache %s: zero-size configuration", c.Name)
@@ -42,8 +50,10 @@ func (c Config) Validate() error {
 	if sets == 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d is not a power of two", c.Name, sets)
 	}
-	if c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache %s: line size %d is not a power of two", c.Name, c.LineBytes)
+	// A line of at least two bytes keeps every line address below 2^63,
+	// so key (tag+1) never wraps to the empty-slot marker 0.
+	if c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d is not a power of two of at least 2", c.Name, c.LineBytes)
 	}
 	return nil
 }
@@ -62,21 +72,17 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	tag   uint64
-	stamp uint64
-	valid bool
-}
-
 // Cache is a single level. It is not safe for concurrent use.
 type Cache struct {
-	cfg       Config
-	lines     []line // sets * ways, set-major
+	cfg Config
+	// keys holds sets*ways line keys, set-major. A key is tag+1; each set
+	// keeps its resident keys in recency order from index 0 (most
+	// recently used), followed by zeros for the ways not yet filled.
+	keys      []uint64
 	ways      int
 	setMask   uint64
+	setShift  uint
 	lineShift uint
-	clock     uint64
 	stats     Stats
 	warmup    bool
 }
@@ -89,9 +95,10 @@ func New(cfg Config) (*Cache, error) {
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]line, sets*uint64(cfg.Ways)),
+		keys:      make([]uint64, sets*uint64(cfg.Ways)),
 		ways:      cfg.Ways,
 		setMask:   sets - 1,
+		setShift:  uint(bits.TrailingZeros64(sets)),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
 	}, nil
 }
@@ -109,52 +116,46 @@ func (c *Cache) SetWarmup(on bool) { c.warmup = on }
 
 // Reset invalidates all lines and zeroes the statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.keys)
 	c.stats = Stats{}
-	c.clock = 0
 }
 
 // ResetStats zeroes the counters but keeps cache contents (used between a
 // warm-up period and a measured region when warm-up mode is not in play).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// set returns the recency-ordered keys of the set holding addr and the
+// line's key.
+func (c *Cache) set(addr uint64) ([]uint64, uint64) {
+	lineAddr := addr >> c.lineShift
+	base := int(lineAddr&c.setMask) * c.ways
+	return c.keys[base : base+c.ways], lineAddr>>c.setShift + 1
+}
+
 // Access looks up the line containing addr, filling it on a miss, and
 // reports whether the access hit. Addresses are byte addresses.
 func (c *Cache) Access(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := lineAddr & c.setMask
-	tag := lineAddr >> bits.TrailingZeros64(c.setMask+1)
-	base := int(set) * c.ways
-	ways := c.lines[base : base+c.ways]
-	c.clock++
+	set, key := c.set(addr)
 	if !c.warmup {
 		c.stats.Accesses++
 	}
-	victim := 0
-	oldest := uint64(1<<64 - 1)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			l.stamp = c.clock
+	// Move to front in one pass: each key slides back one slot until the
+	// accessed key's old slot (a hit) or the first empty slot absorbs the
+	// shift; a miss in a full set drops the last, least recent key.
+	prev := key
+	for i, k := range set {
+		set[i] = prev
+		if k == key {
 			return true
 		}
-		if !l.valid {
-			// Prefer invalid ways; stamp 0 guarantees selection below.
-			if oldest != 0 {
-				victim, oldest = i, 0
-			}
-			continue
+		if k == 0 {
+			break
 		}
-		if l.stamp < oldest {
-			victim, oldest = i, l.stamp
-		}
+		prev = k
 	}
 	if !c.warmup {
 		c.stats.Misses++
 	}
-	ways[victim] = line{tag: tag, stamp: c.clock, valid: true}
 	return false
 }
 
@@ -170,17 +171,8 @@ func (c *Cache) install(addr uint64) {
 // Contains reports whether the line holding addr is currently cached,
 // without touching LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := lineAddr & c.setMask
-	tag := lineAddr >> bits.TrailingZeros64(c.setMask+1)
-	base := int(set) * c.ways
-	for i := 0; i < c.ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	set, key := c.set(addr)
+	return slices.Contains(set, key)
 }
 
 // HierarchyConfig describes a three-level hierarchy with a split L1 and
@@ -256,24 +248,18 @@ func ScaledHierarchy(cfg HierarchyConfig, divs ScaleDivs) HierarchyConfig {
 	}
 }
 
-// scaledTLB shrinks a TLB's entry count, keeping geometry valid.
+// scaledTLB shrinks a TLB's entry count to at most Entries/div (but at
+// least 8), rounded down to ways × 2^k so the set count stays a power of
+// two and the geometry valid.
 func scaledTLB(cfg TLBConfig, div uint64) TLBConfig {
 	if !cfg.Enabled() || div <= 1 {
 		return cfg
 	}
 	out := cfg
-	entries := uint64(cfg.Entries) / div
-	if entries < 8 {
-		entries = 8
-	}
-	// Round down to a power-of-two multiple of ways.
-	out.Entries = int(entries)
-	if out.Entries < out.Ways {
-		out.Ways = out.Entries
-	}
-	for (out.Entries/out.Ways)&(out.Entries/out.Ways-1) != 0 {
-		out.Entries--
-	}
+	entries := max(uint64(cfg.Entries)/div, 8)
+	out.Ways = min(out.Ways, int(entries))
+	sets := 1 << (bits.Len64(entries/uint64(out.Ways)) - 1)
+	out.Entries = out.Ways * sets
 	return out
 }
 

@@ -25,6 +25,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero-line", SizeBytes: 1024, Ways: 1, LineBytes: 0},
 		{Name: "indivisible", SizeBytes: 1000, Ways: 3, LineBytes: 32},
 		{Name: "npo2-line", SizeBytes: 96 * 24, Ways: 1, LineBytes: 24},
+		{Name: "one-byte-line", SizeBytes: 64, Ways: 64, LineBytes: 1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -270,14 +271,47 @@ func TestMissRatesAccessor(t *testing.T) {
 	}
 }
 
+// BenchmarkCacheAccess times single-level lookups. "uniform" draws
+// addresses uniformly over 64 KB on the full Table I L1D, which nearly
+// always misses. "replay" runs the small-scale Table I L1D (2 sets × 32
+// ways) on the mix a replayed phase issues: a strided walk over an 8 KB
+// working set interleaved with random references, thirteen in sixteen of
+// them into a 512-byte hot slice, so most accesses hit at shallow LRU
+// depth.
 func BenchmarkCacheAccess(b *testing.B) {
-	c, _ := New(Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 32, LineBytes: 32})
-	x := uint64(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		c.Access(x % (1 << 16))
-	}
+	b.Run("uniform", func(b *testing.B) {
+		c, _ := New(Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 32, LineBytes: 32})
+		x := uint64(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			c.Access(x % (1 << 16))
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		c, err := New(ScaledConfig(TableIConfig().L1D, 16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		const workingSet, hot = 8 << 10, 512
+		stream := make([]uint64, 1<<14)
+		x := uint64(1)
+		for i := range stream {
+			x = x*6364136223846793005 + 1442695040888963407
+			switch r := x >> 32; {
+			case r%4 < 2:
+				stream[i] = uint64(i) * 8 % workingSet
+			case r>>8&0xf < 13:
+				stream[i] = r >> 12 % hot &^ 7
+			default:
+				stream[i] = r >> 12 % workingSet &^ 7
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(stream[i&(len(stream)-1)])
+		}
+	})
 }
 
 func BenchmarkHierarchyData(b *testing.B) {

@@ -105,3 +105,26 @@ func TestPrefetchDoesNotCountStats(t *testing.T) {
 		t.Error("next line not prefetched")
 	}
 }
+
+func TestScaledTLBValidAtEveryDivisor(t *testing.T) {
+	for _, base := range []TLBConfig{DefaultITLB(), DefaultDTLB()} {
+		for div := uint64(1); div <= 64; div++ {
+			got := scaledTLB(base, div)
+			if err := got.Validate(); err != nil {
+				t.Errorf("scaledTLB(%+v, %d) = %+v: %v", base, div, got, err)
+			}
+			if got.Entries > max(base.Entries/int(div), 8) {
+				t.Errorf("scaledTLB(%+v, %d) = %d entries, above the %d cap", base, div, got.Entries, max(base.Entries/int(div), 8))
+			}
+		}
+	}
+	// The shipping scales divide TLBs by their L2 divisor; all are powers
+	// of two, and all floor at 8 entries of 4 ways.
+	for _, div := range []uint64{64, 128, 512} {
+		for _, base := range []TLBConfig{DefaultITLB(), DefaultDTLB()} {
+			if got := scaledTLB(base, div); got.Entries != 8 || got.Ways != 4 {
+				t.Errorf("scaledTLB(%+v, %d) = %+v, want 8 entries of 4 ways", base, div, got)
+			}
+		}
+	}
+}

@@ -30,7 +30,7 @@ func (c TLBConfig) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: TLB set count %d is not a power of two", sets)
 	}
-	if c.PageBytes == 0 || c.PageBytes&(c.PageBytes-1) != 0 {
+	if c.PageBytes < 2 || c.PageBytes&(c.PageBytes-1) != 0 {
 		return fmt.Errorf("cache: TLB page size %d", c.PageBytes)
 	}
 	return nil

@@ -17,6 +17,7 @@ func TestTLBConfigValidate(t *testing.T) {
 		{Entries: 63, Ways: 4, PageBytes: 4096},
 		{Entries: 48, Ways: 4, PageBytes: 4096}, // 12 sets: not a power of two
 		{Entries: 64, Ways: 4, PageBytes: 0},
+		{Entries: 64, Ways: 4, PageBytes: 1},
 		{Entries: 64, Ways: 4, PageBytes: 5000},
 	}
 	for i, cfg := range bad {

@@ -8,6 +8,7 @@ import (
 
 	"specsampling/internal/core"
 	"specsampling/internal/native"
+	"specsampling/internal/obs"
 	"specsampling/internal/stats"
 	"specsampling/internal/textplot"
 	"specsampling/internal/workload"
@@ -670,7 +671,9 @@ func (r *Runner) Fig12(ctx context.Context) (*Fig12Result, error) {
 		if err != nil {
 			return err
 		}
+		_, nspan := obs.Start(ctx, "native", obs.String("bench", spec.Name))
 		nat, err := native.PerfStat(an.Prog, r.opts.Scale.CacheDivs, 0)
+		nspan.End()
 		if err != nil {
 			return err
 		}

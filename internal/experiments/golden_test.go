@@ -21,46 +21,53 @@ import (
 // cause, in CHANGES.md.
 var update = flag.Bool("update", false, "rewrite the golden digests under testdata/")
 
-// TestFig3aGolden pins the bytes of the Figure 3(a) -json report for
-// 623.xalancbmk_s at small scale against a committed SHA-256, so a change
-// that shifts every MaxK point the same way still fails. The digest is that
-// of the file
+// TestReportGolden pins the bytes of each figure's -json report for one
+// benchmark at small scale against a committed SHA-256, so a change that
+// shifts every point the same way still fails. Each digest is that of the
+// file
 //
-//	experiments -run fig3a -scale small -bench 623.xalancbmk_s -json FILE
+//	experiments -run RUN -scale small -bench BENCH -json FILE
 //
-// writes.
-func TestFig3aGolden(t *testing.T) {
-	const bench = "623.xalancbmk_s"
-	r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: []string{bench}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := NewReport()
-	if err := r.RunRecorded(tctx, "fig3a", report); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf, workload.ScaleSmall.Name, []string{bench}); err != nil {
-		t.Fatal(err)
-	}
-	got := fmt.Sprintf("sha256:%x", sha256.Sum256(buf.Bytes()))
+// writes, stored as testdata/RUN_BENCH_small.sha256.
+func TestReportGolden(t *testing.T) {
+	for _, tc := range []struct{ run, bench string }{
+		{"fig3a", "623.xalancbmk_s"},
+		{"fig8", "505.mcf_r"},
+		{"fig12", "505.mcf_r"},
+	} {
+		t.Run(tc.run, func(t *testing.T) {
+			r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: []string{tc.bench}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			report := NewReport()
+			if err := r.RunRecorded(tctx, tc.run, report); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := report.WriteJSON(&buf, workload.ScaleSmall.Name, []string{tc.bench}); err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("sha256:%x", sha256.Sum256(buf.Bytes()))
 
-	path := filepath.Join("testdata", "fig3a_"+bench+"_small.sha256")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s: %s", path, got)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got != strings.TrimSpace(string(want)) {
-		t.Errorf("fig3a report digest %s, golden %s", got, strings.TrimSpace(string(want)))
+			path := filepath.Join("testdata", tc.run+"_"+tc.bench+"_small.sha256")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s: %s", path, got)
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if got != strings.TrimSpace(string(want)) {
+				t.Errorf("%s report digest %s, golden %s", tc.run, got, strings.TrimSpace(string(want)))
+			}
+		})
 	}
 }

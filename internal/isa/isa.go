@@ -162,23 +162,30 @@ type Block struct {
 	// Mix is the precomputed per-category instruction count of the body,
 	// letting block-granular tools account a whole block in O(1).
 	Mix Mix
-	// MemOps is the number of memory-accessing instructions in the body.
-	MemOps int
+	// MemInstrs are the body's memory-accessing instructions in program
+	// order, so the per-access path walks only these.
+	MemInstrs []StaticInstr
+	// FetchBytes is the body's encoded length: the instruction-fetch
+	// footprint starting at PC.
+	FetchBytes uint64
 }
 
 // Len is the number of instructions in the block.
 func (b *Block) Len() int { return len(b.Instrs) }
 
-// Finalize computes the derived fields (Mix, MemOps, PCs). It must be
-// called after Instrs is populated and before the block is executed.
+// Finalize computes the derived fields (Mix, MemInstrs, FetchBytes). It
+// must be called after Instrs is populated and before the block is
+// executed.
 func (b *Block) Finalize() {
 	b.Mix = Mix{}
-	b.MemOps = 0
+	b.MemInstrs = nil
+	b.FetchBytes = 0
 	for _, in := range b.Instrs {
 		b.Mix.AddKind(in.Kind, 1)
 		if in.Kind.AccessesMemory() {
-			b.MemOps++
+			b.MemInstrs = append(b.MemInstrs, in)
 		}
+		b.FetchBytes += uint64(in.Size)
 	}
 }
 

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -137,8 +138,12 @@ func TestBlockFinalize(t *testing.T) {
 	if b.Len() != 5 {
 		t.Errorf("Len() = %d, want 5", b.Len())
 	}
-	if b.MemOps != 3 {
-		t.Errorf("MemOps = %d, want 3", b.MemOps)
+	wantMem := []StaticInstr{{Kind: MemR, Size: 4}, {Kind: MemW, Size: 4}, {Kind: MemRW, Size: 4}}
+	if !slices.Equal(b.MemInstrs, wantMem) {
+		t.Errorf("MemInstrs = %+v, want %+v", b.MemInstrs, wantMem)
+	}
+	if b.FetchBytes != 18 {
+		t.Errorf("FetchBytes = %d, want 18", b.FetchBytes)
 	}
 	wantMix := Mix{NoMem: 2, MemR: 1, MemW: 1, MemRW: 1}
 	if b.Mix != wantMix {
@@ -152,9 +157,9 @@ func TestBlockFinalize(t *testing.T) {
 func TestBlockFinalizeIdempotent(t *testing.T) {
 	b := &Block{Instrs: []StaticInstr{{Kind: MemR, Size: 4}, {Kind: NoMem, Size: 4}}}
 	b.Finalize()
-	first := b.Mix
+	first, mem, fetch := b.Mix, len(b.MemInstrs), b.FetchBytes
 	b.Finalize()
-	if b.Mix != first {
+	if b.Mix != first || len(b.MemInstrs) != mem || b.FetchBytes != fetch {
 		t.Error("Finalize is not idempotent")
 	}
 }

@@ -152,14 +152,8 @@ func (e *Engine) hooks() program.Hooks {
 				for _, t := range e.blockTools {
 					t.OnBlock(b, phase)
 				}
-				if len(e.fetchTools) > 0 {
-					var bytes uint64
-					for _, in := range b.Instrs {
-						bytes += uint64(in.Size)
-					}
-					for _, t := range e.fetchTools {
-						t.OnFetch(b.PC, bytes)
-					}
+				for _, t := range e.fetchTools {
+					t.OnFetch(b.PC, b.FetchBytes)
 				}
 			}
 		}

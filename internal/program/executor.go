@@ -141,7 +141,7 @@ func (e *Executor) Run(limit uint64, h Hooks) uint64 {
 		if h.Mem != nil {
 			e.runBlockInstrs(ph, ps, b, h.Mem)
 		} else {
-			ps.Accesses += uint64(b.MemOps)
+			ps.Accesses += uint64(len(b.MemInstrs))
 		}
 		ps.BlockExecs++
 
@@ -180,28 +180,26 @@ func (e *Executor) RunToEnd(h Hooks) uint64 {
 	return executed
 }
 
-// runBlockInstrs is the per-instruction path: it walks the block body and
-// materialises an address for every memory operand. The address function is
-// a pure function of (phase seed, access index), so the executor state
-// evolution matches the block-granular fast path exactly.
+// runBlockInstrs is the per-instruction path: it walks the block's memory
+// instructions and materialises an address for every memory operand. The
+// address function is a pure function of (phase seed, access index), so the
+// executor state evolution matches the block-granular fast path exactly.
 func (e *Executor) runBlockInstrs(ph *Phase, ps *PhaseState, b *isa.Block, memHook func(isa.MemRef)) {
 	pat := &ph.Pattern
-	for _, in := range b.Instrs {
+	for _, in := range b.MemInstrs {
+		a := address(ph.seedMem, pat, ps.Accesses)
+		ps.Accesses++
 		switch in.Kind {
 		case isa.MemR:
-			memHook(isa.MemRef{Addr: address(ph.seedMem, pat, ps.Accesses), Size: in.Size, Write: false})
-			ps.Accesses++
+			memHook(isa.MemRef{Addr: a, Size: in.Size, Write: false})
 		case isa.MemW:
-			memHook(isa.MemRef{Addr: address(ph.seedMem, pat, ps.Accesses), Size: in.Size, Write: true})
-			ps.Accesses++
+			memHook(isa.MemRef{Addr: a, Size: in.Size, Write: true})
 		case isa.MemRW:
 			// A memory-to-memory instruction issues a read and a write but
 			// counts as a single access-generating instruction; the write
 			// lands one line-offset away so it exercises a distinct word.
-			a := address(ph.seedMem, pat, ps.Accesses)
 			memHook(isa.MemRef{Addr: a, Size: in.Size, Write: false})
 			memHook(isa.MemRef{Addr: a + 8, Size: in.Size, Write: true})
-			ps.Accesses++
 		}
 	}
 }

@@ -229,7 +229,7 @@ func TestMemRefsMatchBlockMemOps(t *testing.T) {
 	var rw uint64
 	e.Run(10000, Hooks{
 		Block: func(b *isa.Block, _ int) {
-			memInstrs += uint64(b.MemOps)
+			memInstrs += uint64(len(b.MemInstrs))
 			rw += b.Mix.MemRW
 		},
 		Mem: func(isa.MemRef) { refs++ },
